@@ -157,6 +157,11 @@ fn run_smoke_suite(pass: &str) -> BenchReport {
         .with_seed(SMOKE_SEED);
     let base = run_experiment(&base_cfg);
     let straggler = run_experiment(&base_cfg.clone().with_stragglers(1, 10.0));
+    // Fleet-summed counters come from the merged registry.
+    let count = |name: &str| base.metrics.registry().counter_value(name);
+    let wal_fsyncs = count("wal.fsyncs");
+    let flush_barriers = count("pipeline.flush_barriers");
+    let pipelined_submits = count("pipeline.pipelined_submits");
 
     report.add_figure(
         "fig5_scalability",
@@ -190,18 +195,21 @@ fn run_smoke_suite(pass: &str) -> BenchReport {
     report.add_figure(
         "fig_wal_group_commit",
         fields(vec![
-            ("wal_fsyncs", Json::U64(base.wal_fsyncs)),
-            ("wal_bytes_written", Json::U64(base.wal_bytes_written)),
-            ("flush_barriers", Json::U64(base.flush_barriers)),
+            ("wal_fsyncs", Json::U64(wal_fsyncs)),
+            ("wal_bytes_written", Json::U64(count("wal.bytes_written"))),
+            ("flush_barriers", Json::U64(flush_barriers)),
             (
                 "fsyncs_per_block",
                 Json::F64(if base.confirmed_blocks > 0 {
-                    base.wal_fsyncs as f64 / base.confirmed_blocks as f64
+                    wal_fsyncs as f64 / base.confirmed_blocks as f64
                 } else {
                     0.0
                 }),
             ),
-            ("wall_wal_flush_ns", Json::U64(base.wall_wal_flush_ns)),
+            (
+                "wall_wal_flush_ns",
+                Json::U64(count("pipeline.wall_wal_flush_ns")),
+            ),
         ]),
     );
     report.add_figure(
@@ -214,7 +222,7 @@ fn run_smoke_suite(pass: &str) -> BenchReport {
             ),
             ("mean_ops_per_wave", Json::F64(base.mean_ops_per_wave)),
             ("executed_txs", Json::U64(base.executed_txs)),
-            ("wall_exec_ns", Json::U64(base.wall_exec_ns)),
+            ("wall_exec_ns", Json::U64(count("pipeline.wall_exec_ns"))),
         ]),
     );
     // Pipelined durability: the failure alarm must be silent on a
@@ -226,19 +234,19 @@ fn run_smoke_suite(pass: &str) -> BenchReport {
         "healthy smoke run reported failed flush barriers"
     );
     assert!(
-        base.wal_pipelined_submits > 0,
+        pipelined_submits > 0,
         "the pipelined drain never overlapped a barrier"
     );
     report.add_figure(
         "fig_wal_pipeline",
         fields(vec![
             ("wal_flush_failures", Json::U64(base.wal_flush_failures)),
-            ("pipelined_submits", Json::U64(base.wal_pipelined_submits)),
-            ("flush_barriers", Json::U64(base.flush_barriers)),
+            ("pipelined_submits", Json::U64(pipelined_submits)),
+            ("flush_barriers", Json::U64(flush_barriers)),
             (
                 "fsyncs_per_barrier",
-                Json::F64(if base.flush_barriers > 0 {
-                    base.wal_fsyncs as f64 / base.flush_barriers as f64
+                Json::F64(if flush_barriers > 0 {
+                    wal_fsyncs as f64 / flush_barriers as f64
                 } else {
                     0.0
                 }),

@@ -24,11 +24,12 @@ use crate::predetermined::{BaselineKind, PredeterminedOrderer};
 use crate::sync::{select_chunk_lanes, SyncEntry, SyncRequest, SyncResponse};
 use ladon_crypto::{KeyRegistry, RankCert};
 use ladon_hotstuff::{HsConfig, HsInstance, HsRankMode};
-use ladon_obs::{Stage, TraceJournal};
+use ladon_obs::{SnapshotInto, Stage, TraceJournal};
 use ladon_pbft::{InstanceConfig, PbftInstance, RankMode, RankStrategy};
 use ladon_sim::{Actor, ActorId, Context};
 use ladon_state::{
-    delta_lanes, ChunkCache, ExecOutcome, ExecutionPipeline, Snapshot, SnapshotChunk,
+    delta_lanes, ChunkCache, ExecOutcome, ExecSchedStats, ExecutionPipeline, PipelinePerf,
+    ReplayStats, Snapshot, SnapshotChunk, WalIoStats,
 };
 use ladon_types::{
     Batch, Block, Digest, InstanceId, ProtocolKind, Rank, ReplicaId, Round, SystemConfig, TimeNs,
@@ -174,75 +175,29 @@ pub struct NodeMetrics {
     /// (the next successful compaction repairs the backend from the
     /// in-memory mirror).
     pub wal_write_failures: u64,
-    /// WAL fsync barriers issued, mirrored from the backend's
-    /// deterministic I/O counters
-    /// ([`ladon_state::ExecutionPipeline::wal_io_stats`]). Under group
-    /// commit this scales with confirmed-queue *drains* (one barrier per
-    /// touched lane group per batch), not with confirmed blocks.
-    pub wal_fsyncs: u64,
-    /// Segment bytes written to WAL storage (appends + compaction
-    /// rewrites), from the same counters.
-    pub wal_bytes_written: u64,
-    /// Topological waves executed by the dependency-DAG wave scheduler,
-    /// summed over batches — mirrored from
-    /// [`ladon_state::ExecutionPipeline::sched_stats`].
-    /// `executed_txs / exec_waves` is the mean exploitable parallelism
-    /// per wave; deterministic and worker-count invariant.
-    pub exec_waves: u64,
-    /// Cross-lane dependency edges the scheduler ordered (the
-    /// read-your-writes dependencies the old two-phase credit pass could
-    /// not express), from the same counters.
-    pub exec_cross_lane_edges: u64,
-    /// Ops in the fullest single wave seen, from the same counters.
-    pub exec_max_wave_ops: u32,
     /// Checkpoint quorums observed on a root different from ours.
     pub root_conflicts: u64,
-    /// Records dropped from torn/corrupt WAL segment tails at the last
-    /// recovery — mirrored from
-    /// [`ladon_state::ReplayStats::records_torn`] so fault-matrix
-    /// assertions can run at the `Report` level. Zero for nodes that
-    /// never recovered.
-    pub records_torn: u64,
-    /// Manifest-counted records missing from cleanly-ended segments at
-    /// the last recovery (a never-acknowledged suffix), from
-    /// [`ladon_state::ReplayStats::records_unacked_lost`].
-    pub records_unacked_lost: u64,
-    /// Scanned segments whose stream ended exactly at a batch trailer,
-    /// from [`ladon_state::ReplayStats::segments_clean_end`].
-    pub segments_clean_end: u64,
-    /// WAL-tail records re-executed at the last recovery, from
-    /// [`ladon_state::ReplayStats::records_replayed`].
-    pub records_replayed: u64,
-    /// Wall-clock nanoseconds inside WAL flush barriers (`wall_` = real
-    /// elapsed time, excluded from determinism gates), mirrored from
-    /// [`ladon_state::PipelinePerf`].
+    /// The execution pipeline's barrier accounting, refreshed after
+    /// every drain; the only place its `pipeline.*` counters are named
+    /// is its own `SnapshotInto`.
+    pub perf: PipelinePerf,
+    /// The dependency-DAG wave scheduler's cumulative `exec.*` counters,
+    /// refreshed with [`Self::perf`].
+    pub sched: ExecSchedStats,
+    /// What the last recovery replayed (`replay.*`); all zeros for a
+    /// node that never recovered.
+    pub recovery: ReplayStats,
+    /// The WAL backend's deterministic `wal.*` I/O counters (fsync
+    /// barriers, staged writes, handle opens, bytes).
+    pub wal_io: WalIoStats,
+    /// Plain copy of `perf.wall_wal_flush_ns`: the cluster benchmark's
+    /// probe reads it after every handler.
     pub wall_wal_flush_ns: u64,
-    /// Wall-clock nanoseconds executing staged ops (DAG apply), from
-    /// the same counters.
+    /// Plain copy of `perf.wall_exec_ns`, for the same probe.
     pub wall_exec_ns: u64,
-    /// Flush barriers taken (denominator for per-barrier wall means).
-    pub flush_barriers: u64,
-    /// Flush barriers whose durable step failed, mirrored from
-    /// [`ladon_state::PipelinePerf::wal_flush_failures`] — the alarm the
-    /// node raises **before** a drained range is treated as durable
-    /// (previously the outcome was swallowed inside the pipeline). Must
-    /// stay 0; nonzero means ranges were applied whose durability the
-    /// storage never confirmed.
+    /// Plain copy of `perf.wal_flush_failures`: the cluster benchmark
+    /// sums it across a restarted replica's incarnations. Must stay 0.
     pub wal_flush_failures: u64,
-    /// Barriers submitted while the previous barrier was still in
-    /// flight — genuine write/execute overlap windows, from
-    /// [`ladon_state::PipelinePerf::pipelined_submits`]. Deterministic
-    /// (identical in pipelined File mode and inline simulation).
-    pub wal_pipelined_submits: u64,
-    /// Peak records inside one in-flight barrier, from
-    /// [`ladon_state::PipelinePerf::inflight_records_peak`].
-    pub wal_inflight_records_peak: u64,
-    /// Per-barrier wall-clock token-wait samples (`wall_`, excluded from
-    /// determinism gates), from [`ladon_state::PipelinePerf`].
-    pub barrier_wait: ladon_obs::Histogram,
-    /// Per-barrier wall-clock in-flight (overlap) window samples, from
-    /// the same counters.
-    pub barrier_overlap: ladon_obs::Histogram,
     /// `true` while the durability degradation state machine is in
     /// [`NodeMode::Degraded`]: a run of consecutive failed flush
     /// barriers crossed `SystemConfig::wal_failure_degrade_threshold`,
@@ -281,7 +236,7 @@ pub struct NodeMetrics {
     pub trace: TraceJournal,
 }
 
-impl ladon_obs::SnapshotInto for NodeMetrics {
+impl SnapshotInto for NodeMetrics {
     fn snapshot_into(&self, registry: &mut ladon_obs::MetricsRegistry) {
         registry.counter("node.confirmed_blocks", self.confirms.len() as u64);
         registry.counter("node.confirmed_txs", self.confirmed_txs);
@@ -303,26 +258,13 @@ impl ladon_obs::SnapshotInto for NodeMetrics {
         registry.counter("node.root_conflicts", self.root_conflicts);
         registry.counter("node.view_changes", self.view_changes.len() as u64);
         registry.counter("wal.write_failures", self.wal_write_failures);
-        registry.counter("wal.fsyncs", self.wal_fsyncs);
-        registry.counter("wal.bytes_written", self.wal_bytes_written);
-        registry.counter("exec.waves", self.exec_waves);
-        registry.counter("exec.cross_lane_edges", self.exec_cross_lane_edges);
-        registry.gauge("exec.max_wave_ops", self.exec_max_wave_ops as f64);
-        registry.counter("replay.records_torn", self.records_torn);
-        registry.counter("replay.records_unacked_lost", self.records_unacked_lost);
-        registry.counter("replay.segments_clean_end", self.segments_clean_end);
-        registry.counter("replay.records_replayed", self.records_replayed);
-        registry.counter("pipeline.wall_wal_flush_ns", self.wall_wal_flush_ns);
-        registry.counter("pipeline.wall_exec_ns", self.wall_exec_ns);
-        registry.counter("pipeline.flush_barriers", self.flush_barriers);
-        registry.counter("pipeline.wal_flush_failures", self.wal_flush_failures);
-        registry.counter("pipeline.pipelined_submits", self.wal_pipelined_submits);
-        registry.gauge(
-            "pipeline.inflight_records_peak",
-            self.wal_inflight_records_peak as f64,
-        );
-        registry.merge_histogram("pipeline.wall_barrier_wait_ns", &self.barrier_wait);
-        registry.merge_histogram("pipeline.wall_barrier_overlap_ns", &self.barrier_overlap);
+        // The pinned plain copies (`wall_*_ns`, `wal_flush_failures`)
+        // are not emitted here: `perf` names them, and a second emission
+        // would double them in every merge.
+        self.perf.snapshot_into(registry);
+        self.sched.snapshot_into(registry);
+        self.recovery.snapshot_into(registry);
+        self.wal_io.snapshot_into(registry);
         registry.gauge("node.mode", if self.degraded { 1.0 } else { 0.0 });
         registry.counter("node.degraded_entries", self.degraded_entries);
         registry.counter("node.degraded_retries", self.degraded_retries);
@@ -899,12 +841,6 @@ impl MultiBftNode {
                             .record(sn, lane, Stage::Checkpointed, now);
                     }
                     self.ckpt_traced_upto = self.exec.applied();
-                    // The checkpoint drains any staged accumulation and
-                    // compacts the WAL (segment rotation); surface any
-                    // failed rotation step — and the I/O + scheduling it
-                    // cost — immediately (`pm` holds the pacemaker
-                    // borrow, so the mirror is an associated call).
-                    Self::mirror_exec_metrics(&mut self.metrics, &self.exec);
                     // The new snapshot supersedes the previous one for
                     // serving: drop cached chunk encodes for lane roots
                     // it no longer references (unchanged lanes keep
@@ -917,7 +853,13 @@ impl MultiBftNode {
                     // referenced by the still-pending install (if any) is
                     // stale now that a newer local head exists.
                     self.exec.prune_stale_chunks(&self.pending_sync_roots);
-                    self.metrics.snapshot_chunks_pruned = self.exec.snapshot_chunks_pruned();
+                    // The checkpoint drained any staged accumulation and
+                    // compacted the WAL (segment rotation): surface any
+                    // failed rotation step — and the I/O, scheduling and
+                    // pruning it cost — immediately (`pm` holds the
+                    // pacemaker borrow, so the refresh is an associated
+                    // call).
+                    Self::mirror_exec_metrics(&mut self.metrics, &self.exec);
                     self.metrics.state_roots.push((now, epoch.0, root));
                     let signer = self.cfg.registry.signer(self.cfg.me);
                     broadcast = Some(pm.make_checkpoint(&signer, root));
@@ -1036,18 +978,16 @@ impl MultiBftNode {
             // the writer thread while the next drain stages batch N+1.
             // Mirror (raising `wal_flush_failures`) BEFORE tracing the
             // resolved range as flushed+applied: a failed barrier must
-            // alarm before any range is treated as durable. While
+            // alarm before any range is treated as durable, and a failed
+            // WAL write is visible the moment it happens. While
             // degraded the drain is skipped: records keep *staging*
-            // (unacknowledged, memory only) but no new barrier touches
-            // the failing backend until a retry heals it.
+            // (unacknowledged, memory only — staging touches no carried
+            // counter) but no new barrier touches the failing backend
+            // until a retry heals it.
             let flushed = self.exec.submit_staged();
             Self::mirror_exec_metrics(&mut self.metrics, &self.exec);
             Self::trace_flushed(&mut self.metrics, flushed, now);
         }
-        // Mirror the durability alarm and the I/O counters after every
-        // drain so a failed WAL write is visible the moment it happens,
-        // not only at the next checkpoint.
-        Self::mirror_exec_metrics(&mut self.metrics, &self.exec);
     }
 
     /// Degradation trigger: call with `ctx` after any path that can
@@ -1094,14 +1034,19 @@ impl MultiBftNode {
         }
         let now = ctx.now();
         self.metrics.degraded_retries += 1;
-        if self.exec.retry_durability() {
-            let flushed = self.exec.flush_staged();
-            // Mirror (raising the alarm on a re-failed backlog barrier)
-            // before stamping the applied range — same
-            // alarm-before-durable ordering as the live drains.
-            Self::mirror_exec_metrics(&mut self.metrics, &self.exec);
+        let healed = self.exec.retry_durability();
+        let flushed = if healed {
+            self.exec.flush_staged()
+        } else {
+            0..0
+        };
+        // Mirror (raising the alarm on a failed repair or a re-failed
+        // backlog barrier) before stamping the applied range — same
+        // alarm-before-durable ordering as the live drains.
+        Self::mirror_exec_metrics(&mut self.metrics, &self.exec);
+        if healed {
             Self::trace_flushed(&mut self.metrics, flushed, now);
-            if self.exec.perf().consecutive_flush_failures == 0 {
+            if self.metrics.perf.consecutive_flush_failures == 0 {
                 // Backlog durable and applied: back to normal service.
                 self.mode = NodeMode::Normal;
                 self.retry_attempt = 0;
@@ -1112,7 +1057,6 @@ impl MultiBftNode {
             // The repair succeeded but the backlog barrier failed again
             // (flutter): stay degraded, keep backing off.
         }
-        Self::mirror_exec_metrics(&mut self.metrics, &self.exec);
         self.retry_attempt = self.retry_attempt.saturating_add(1);
         self.arm_retry(ctx);
     }
@@ -1142,36 +1086,24 @@ impl MultiBftNode {
             .unwrap_or(0)
     }
 
-    /// Mirrors the execution pipeline's WAL health, I/O, scheduler, and
-    /// execution counters into a metrics sink. An associated function so
-    /// it stays callable while `self.pacemaker` is borrowed; `pub` so
-    /// tests driving a pipeline directly (fault matrix) can build
-    /// Report-level assertions from the same mirror.
+    /// Refreshes a metrics sink from the execution pipeline: the
+    /// carried stats structs by value, plus the values no stats struct
+    /// holds. Call it once after every pipeline call that can change
+    /// them. An associated function so it stays callable while
+    /// `self.pacemaker` is borrowed; `pub` so tests driving a pipeline
+    /// directly (fault matrix) can build Report-level assertions from
+    /// the same refresh.
     pub fn mirror_exec_metrics(metrics: &mut NodeMetrics, exec: &ExecutionPipeline) {
+        metrics.perf = exec.perf();
+        metrics.sched = exec.sched_stats();
+        metrics.recovery.clone_from(exec.recovery_stats());
+        metrics.wal_io = exec.wal_io_stats();
+        metrics.wall_wal_flush_ns = metrics.perf.wall_wal_flush_ns;
+        metrics.wall_exec_ns = metrics.perf.wall_exec_ns;
+        metrics.wal_flush_failures = metrics.perf.wal_flush_failures;
         metrics.wal_write_failures = exec.wal_write_failures();
-        let io = exec.wal_io_stats();
-        metrics.wal_fsyncs = io.fsyncs;
-        metrics.wal_bytes_written = io.bytes_written;
-        let sched = exec.sched_stats();
-        metrics.exec_waves = sched.waves;
-        metrics.exec_cross_lane_edges = sched.cross_lane_edges;
-        metrics.exec_max_wave_ops = sched.max_wave_ops;
         metrics.snapshot_decode_failures = exec.snapshot_decode_failures();
         metrics.snapshot_chunks_pruned = exec.snapshot_chunks_pruned();
-        let replay = exec.recovery_stats();
-        metrics.records_torn = replay.records_torn;
-        metrics.records_unacked_lost = replay.records_unacked_lost;
-        metrics.segments_clean_end = replay.segments_clean_end;
-        metrics.records_replayed = replay.records_replayed;
-        let perf = exec.perf();
-        metrics.wall_wal_flush_ns = perf.wall_wal_flush_ns;
-        metrics.wall_exec_ns = perf.wall_exec_ns;
-        metrics.flush_barriers = perf.flush_barriers;
-        metrics.wal_flush_failures = perf.wal_flush_failures;
-        metrics.wal_pipelined_submits = perf.pipelined_submits;
-        metrics.wal_inflight_records_peak = perf.inflight_records_peak;
-        metrics.barrier_wait = perf.barrier_wait.clone();
-        metrics.barrier_overlap = perf.barrier_overlap.clone();
         // Executed txs advance at flush time (staged blocks are not
         // executed yet), so the metric mirrors the pipeline's cumulative
         // count instead of summing per-drain outcomes — the *local* one:
@@ -1683,16 +1615,19 @@ impl MultiBftNode {
                     None
                 };
                 if let Some(snap) = assembled {
-                    if self.exec.install_snapshot(&snap) {
+                    let installed = self.exec.install_snapshot(&snap);
+                    // Installing drains staged blocks (even when it then
+                    // declines the snapshot) and compacts the WAL behind
+                    // it.
+                    Self::mirror_exec_metrics(&mut self.metrics, &self.exec);
+                    if installed {
                         self.metrics.snapshot_installs += 1;
                         self.metrics.snapshot_chunks_reused += reused;
-                        // Installing drains staged blocks and compacts
-                        // the WAL behind the snapshot; the stash has
-                        // served its purpose, on disk and in memory.
+                        // The stash has served its purpose, on disk and
+                        // in memory.
                         self.exec.clear_chunk_stash();
                         self.pending_sync_roots.clear();
                         self.sync_cursor = 0;
-                        Self::mirror_exec_metrics(&mut self.metrics, &self.exec);
                         // The fast-forwarded prefix never gets
                         // ConfirmRecords here: surface the gap instead of
                         // leaving it implicit in a shorter log.
@@ -2105,5 +2040,116 @@ mod tests {
         });
         assert_eq!(slow.pace_interval().0, normal.pace_interval().0 * 10);
         assert!(slow.is_straggler());
+    }
+
+    /// Double-emission guard: a registry merge adds counters, so a name
+    /// emitted both by `NodeMetrics` and by a carried stats struct would
+    /// silently double. Every field is nonzero and distinct, so each
+    /// `pipeline.*`/`exec.*`/`replay.*`/`wal.*` counter must equal its
+    /// one struct field — and no other name may appear there.
+    #[test]
+    fn carried_stats_reach_the_registry_exactly_once() {
+        use ladon_obs::{Histogram, Json, MetricsRegistry};
+        let samples = |n: u64| {
+            let mut h = Histogram::new();
+            (1..=n).for_each(|v| h.observe(v));
+            h
+        };
+        let mut m = NodeMetrics {
+            perf: PipelinePerf {
+                wall_wal_flush_ns: 11,
+                wall_exec_ns: 12,
+                flush_barriers: 13,
+                wal_flush_failures: 14,
+                consecutive_flush_failures: 15,
+                pipelined_submits: 16,
+                inflight_records_peak: 17,
+                barrier_wait: samples(3),
+                barrier_overlap: samples(5),
+            },
+            sched: ExecSchedStats {
+                batches: 21,
+                waves: 22,
+                scheduled_ops: 23,
+                cross_lane_edges: 24,
+                max_wave_ops: 25,
+            },
+            recovery: ReplayStats {
+                segments_scanned: 31,
+                segments_skipped: 32,
+                records_below_floor: 33,
+                records_torn: 34,
+                records_unacked_lost: 35,
+                segments_clean_end: 36,
+                manifest_recovered: true,
+                records_replayed: 38,
+                replayed_txs: 39,
+                replayed_lane_mask: 0b1011,
+                records_per_lane: vec![40; 4],
+            },
+            wal_io: WalIoStats {
+                appends: 41,
+                fsyncs: 42,
+                segment_opens: 43,
+                bytes_written: 44,
+            },
+            wal_write_failures: 51,
+            ..NodeMetrics::default()
+        };
+        // The pinned plain copies hold what a refresh would copy in.
+        m.wall_wal_flush_ns = m.perf.wall_wal_flush_ns;
+        m.wall_exec_ns = m.perf.wall_exec_ns;
+        m.wal_flush_failures = m.perf.wal_flush_failures;
+
+        let mut reg = MetricsRegistry::new();
+        m.snapshot_into(&mut reg);
+        let expected: BTreeMap<&str, u64> = BTreeMap::from([
+            ("pipeline.wall_wal_flush_ns", 11),
+            ("pipeline.wall_exec_ns", 12),
+            ("pipeline.flush_barriers", 13),
+            ("pipeline.wal_flush_failures", 14),
+            ("pipeline.pipelined_submits", 16),
+            ("exec.batches", 21),
+            ("exec.waves", 22),
+            ("exec.scheduled_ops", 23),
+            ("exec.cross_lane_edges", 24),
+            ("replay.segments_scanned", 31),
+            ("replay.segments_skipped", 32),
+            ("replay.records_below_floor", 33),
+            ("replay.records_torn", 34),
+            ("replay.records_unacked_lost", 35),
+            ("replay.segments_clean_end", 36),
+            ("replay.manifest_recovered", 1),
+            ("replay.records_replayed", 38),
+            ("replay.replayed_txs", 39),
+            ("wal.appends", 41),
+            ("wal.fsyncs", 42),
+            ("wal.segment_opens", 43),
+            ("wal.bytes_written", 44),
+            ("wal.write_failures", 51),
+        ]);
+        let Json::Obj(doc) = reg.snapshot().to_json() else {
+            panic!("snapshot JSON must be an object");
+        };
+        let Some((_, Json::Obj(counters))) = doc.iter().find(|(k, _)| k == "counters") else {
+            panic!("snapshot JSON must carry a counters object");
+        };
+        let emitted: BTreeMap<&str, u64> = counters
+            .iter()
+            .filter(|(name, _)| {
+                ["pipeline.", "exec.", "replay.", "wal."]
+                    .iter()
+                    .any(|p| name.starts_with(p))
+            })
+            .map(|(name, v)| match v {
+                Json::U64(v) => (name.as_str(), *v),
+                other => panic!("{name}: counter rendered as {other:?}"),
+            })
+            .collect();
+        assert_eq!(emitted, expected);
+        // Histograms add on merge too: each sample set counted once.
+        let samples_in = |name| reg.histogram(name).map_or(0, Histogram::count);
+        assert_eq!(samples_in("pipeline.wall_barrier_wait_ns"), 3);
+        assert_eq!(samples_in("pipeline.wall_barrier_overlap_ns"), 5);
     }
 }

@@ -5,10 +5,10 @@
 //! - [`registry`] — a unified metrics registry (counters, gauges,
 //!   log-bucketed histograms, per-actor series) with a deterministic,
 //!   order- and partition-invariant merge and a single
-//!   [`MetricsSnapshot::to_json`] exposition path. The existing counter
-//!   structs (`NodeMetrics`, `WalIoStats`, `CryptoCounters`,
-//!   `ExecSchedStats`, `ReplayStats`, `NetStats`) implement
-//!   [`SnapshotInto`] to dump into it.
+//!   [`MetricsSnapshot::to_json`] exposition path. Each subsystem's
+//!   stats struct implements [`SnapshotInto`] and is the only emitter
+//!   of its names; `NodeMetrics` forwards to the pipeline structs it
+//!   carries.
 //! - [`trace`] — per-block lifecycle tracing: a bounded ring-buffer
 //!   journal of timestamped stage transitions (submitted → proposed →
 //!   confirmed → WAL-staged → flushed → applied → checkpointed) with

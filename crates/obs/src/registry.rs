@@ -256,9 +256,14 @@ impl MetricsRegistry {
     }
 }
 
-/// Anything that can dump its counters into the registry. Implemented
-/// by `NodeMetrics`, `WalIoStats`, `CryptoCounters`, `ExecSchedStats`,
-/// `ReplayStats`, and `NetStats` at their home crates.
+/// Anything that can dump its counters into the registry. Each
+/// subsystem's stats struct implements it at its home crate and is the
+/// only place its names are emitted: `PipelinePerf`, `ExecSchedStats`,
+/// `ReplayStats`, `WalIoStats`, `CryptoCounters`, `NetStats` and
+/// `TraceJournal`. `NodeMetrics` emits the counters the node owns and
+/// forwards to the pipeline structs it carries. A name must come from
+/// exactly one impl: merges add counters, so a second emission doubles
+/// the value silently.
 pub trait SnapshotInto {
     fn snapshot_into(&self, registry: &mut MetricsRegistry);
 }

@@ -127,8 +127,8 @@ impl ReplayStats {
 
 /// Cumulative wave-scheduler accounting across every batch the pipeline
 /// executed (live drains and recovery replay alike) — the cost surface
-/// of the dependency-DAG executor, mirrored into `NodeMetrics` and the
-/// aggregated `Report`. All counts are deterministic: the schedule is a
+/// of the dependency-DAG executor, carried by `NodeMetrics` and emitted
+/// as `exec.*`. All counts are deterministic: the schedule is a
 /// pure function of the ops' static lane access sets, never of worker
 /// count or timing (`fig_exec_dag` gates exactly this).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -1041,8 +1041,7 @@ impl ExecutionPipeline {
 
     /// The WAL backend's deterministic I/O counters (staged writes,
     /// fsync barriers, segment opens, bytes written) — the group-commit
-    /// cost surface, mirrored into `NodeMetrics` and the aggregated
-    /// `Report`.
+    /// cost surface, carried by `NodeMetrics` and emitted as `wal.*`.
     pub fn wal_io_stats(&self) -> crate::wal::WalIoStats {
         self.wal.io_stats()
     }

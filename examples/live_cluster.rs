@@ -85,8 +85,8 @@ fn main() {
             node.metrics.commits.len(),
             node.metrics.confirms.len(),
             node.metrics.confirmed_txs,
-            node.metrics.flush_barriers,
-            node.metrics.wal_pipelined_submits,
+            node.metrics.perf.flush_barriers,
+            node.metrics.perf.pipelined_submits,
             node.metrics.wal_flush_failures,
         );
     }

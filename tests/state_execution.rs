@@ -108,9 +108,12 @@ fn honest_replicas_agree_on_state_roots_at_every_checkpoint() {
             m.wal_write_failures, 0,
             "replica {r} reported failed durable WAL writes"
         );
-        assert!(m.wal_fsyncs > 0, "replica {r} reported no fsync barriers");
         assert!(
-            m.wal_bytes_written > 0,
+            m.wal_io.fsyncs > 0,
+            "replica {r} reported no fsync barriers"
+        );
+        assert!(
+            m.wal_io.bytes_written > 0,
             "replica {r} reported no WAL bytes written"
         );
     }
@@ -894,7 +897,7 @@ fn cross_drain_threshold_cluster_agrees_and_amortizes_fsyncs() {
         }
         c.assert_agreement(&[0, 1, 2, 3]);
         let m = &c.node(0).metrics;
-        (m.wal_fsyncs, c.node(0).exec.state_root())
+        (m.wal_io.fsyncs, c.node(0).exec.state_root())
     };
     let (fsyncs_default, root_default) = run(1);
     let (fsyncs_batched, root_batched) = run(8);
@@ -989,9 +992,9 @@ fn batched_execution_crash_matrix_recovers_acked_prefix() {
 
 /// Report-level fault surfacing: a torn WAL tail must show up not just
 /// in [`ladon::state::ReplayStats`] but all the way through
-/// `NodeMetrics` aggregation into the experiment [`Report`] — the same
-/// chain the runner uses — so fault-matrix outcomes are assertable from
-/// the top-level document.
+/// `NodeMetrics` aggregation into the experiment [`Report`]'s merged
+/// registry — the same chain the runner uses — so fault-matrix outcomes
+/// are assertable from the top-level document.
 #[test]
 fn torn_wal_recovery_surfaces_replay_stats_in_report() {
     use ladon::state::{static_lane_mask, TRAILER_LEN};
@@ -1054,10 +1057,20 @@ fn torn_wal_recovery_surfaces_replay_stats_in_report() {
         reference: 0,
         waiting_blocks: 0,
     });
-    assert_eq!(report.records_torn, stats.records_torn);
-    assert_eq!(report.records_unacked_lost, stats.records_unacked_lost);
-    assert_eq!(report.records_replayed, stats.records_replayed);
-    assert_eq!(report.segments_clean_end, stats.segments_clean_end);
+    let reg = report.metrics.registry();
+    assert_eq!(reg.counter_value("replay.records_torn"), stats.records_torn);
+    assert_eq!(
+        reg.counter_value("replay.records_unacked_lost"),
+        stats.records_unacked_lost
+    );
+    assert_eq!(
+        reg.counter_value("replay.records_replayed"),
+        stats.records_replayed
+    );
+    assert_eq!(
+        reg.counter_value("replay.segments_clean_end"),
+        stats.segments_clean_end
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
